@@ -12,7 +12,6 @@ from conftest import run_once
 from repro.bench.runner import make_engine
 from repro.engine.speculative import SpeculativeEngine
 from repro.serving import poisson_arrivals, simulate_serving
-from repro.serving.batched import simulate_batched_serving
 from repro.workloads import CHATGPT_PROMPTS
 
 
@@ -51,7 +50,7 @@ def run_serving_saturation(rates_per_min=(1, 2, 6, 15)) -> list[dict]:
                 CHATGPT_PROMPTS, rate=per_minute / 60.0, n_requests=30, rng=rng
             )
             fcfs = simulate_serving(engine, requests)
-            batched = simulate_batched_serving(engine, requests, max_batch=8)
+            batched = simulate_serving(engine, requests, max_batch=8)
             rows.append(
                 {
                     "engine": engine_name,

@@ -25,7 +25,6 @@ from repro.bench.runner import make_engine
 from repro.serving import (
     SLO,
     poisson_arrivals,
-    simulate_batched_serving,
     simulate_continuous_serving,
     simulate_serving,
 )
@@ -59,7 +58,7 @@ def main() -> None:
     )
 
     fcfs = simulate_serving(engine, requests)
-    static = simulate_batched_serving(engine, requests, max_batch=8)
+    static = simulate_serving(engine, requests, max_batch=8)
     cont = simulate_continuous_serving(engine, requests, max_batch=8)
 
     print(f"{'scheduler':>12} | {'mean lat':>8} | {'p99 lat':>8} | "

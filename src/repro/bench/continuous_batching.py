@@ -20,7 +20,6 @@ from repro.bench.runner import make_engine
 from repro.serving import (
     SLO,
     poisson_arrivals,
-    simulate_batched_serving,
     simulate_continuous_serving,
     simulate_serving,
 )
@@ -56,7 +55,7 @@ def run_continuous_batching() -> list[dict]:
             rng=np.random.default_rng(1234),
         )
         fcfs = simulate_serving(engine, requests)
-        static = simulate_batched_serving(engine, requests, max_batch=MAX_BATCH)
+        static = simulate_serving(engine, requests, max_batch=MAX_BATCH)
         cont = simulate_continuous_serving(engine, requests, max_batch=MAX_BATCH)
 
         # Whole-request schedulers deliver all tokens at completion, so the

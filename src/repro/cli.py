@@ -656,7 +656,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import (
         SLO,
         poisson_arrivals,
-        simulate_batched_serving,
         simulate_continuous_serving,
         simulate_serving,
     )
@@ -705,10 +704,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"goodput {report.goodput(slo):.2f} req/s"
         )
         return 0
-    if args.mode == "batched":
-        report = simulate_batched_serving(engine, requests, max_batch=args.max_batch)
-    else:
-        report = simulate_serving(engine, requests)
+    max_batch = args.max_batch if args.mode == "batched" else 1
+    report = simulate_serving(engine, requests, max_batch=max_batch)
     print(
         f"{header}: served "
         f"{report.n_requests} requests at {args.rate:.3g}/s — "

@@ -1,7 +1,6 @@
-"""Serving simulations: arrivals, FCFS/batched/continuous scheduling, SLO metrics."""
+"""Serving simulations: arrivals, whole-request/continuous scheduling, SLO metrics."""
 
 from repro.serving.arrival import Request, poisson_arrivals
-from repro.serving.batched import simulate_batched_serving
 from repro.serving.continuous import (
     ContinuousServer,
     IterationCostCache,
@@ -66,7 +65,6 @@ __all__ = [
     "merge_busy_intervals",
     "percentile",
     "poisson_arrivals",
-    "simulate_batched_serving",
     "simulate_continuous_serving",
     "simulate_serving",
 ]

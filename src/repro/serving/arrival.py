@@ -9,6 +9,7 @@ streams as a Poisson process whose prompt/output lengths come from the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ __all__ = ["Request", "poisson_arrivals"]
 @dataclass(frozen=True)
 class Request:
     """One serving request.
+
+    ``arrival_time`` is in seconds on the simulated clock, which starts at
+    0; a negative or non-finite arrival raises ``ValueError``.
 
     ``deadline`` is an optional per-request completion deadline in seconds
     *relative to arrival*; ``None`` means the request never times out
@@ -46,6 +50,8 @@ class Request:
     session: int | None = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.arrival_time) and self.arrival_time >= 0):
+            raise ValueError("arrival_time must be finite and non-negative")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
         if self.priority < 0:

@@ -1,13 +1,13 @@
 """Orca-style continuous batching over a performance engine.
 
-The static simulators (:mod:`repro.serving.simulator`,
-:mod:`repro.serving.batched`) treat a request as one opaque service time, so
-a batch is frozen at dispatch and every member finishes together.  This
-module schedules at *token* granularity instead: the server advances one
-model iteration at a time via :meth:`PerfEngine.simulate_iteration`,
-requests join the running batch the moment a slot and KV memory are
-available, and leave the instant their last token is emitted — the
-iteration-level scheduling loop of Orca/vLLM-class serving systems.
+The whole-request loop (:func:`repro.serving.simulator.simulate_serving`)
+treats a request as one opaque service time, so a batch is frozen at
+dispatch and every member finishes together.  This module schedules at
+*token* granularity instead: the server advances one model iteration at a
+time via :meth:`PerfEngine.simulate_iteration`, requests join the running
+batch the moment a slot and KV memory are available, and leave the instant
+their last token is emitted — the iteration-level scheduling loop of
+Orca/vLLM-class serving systems.
 
 Pieces that cooperate:
 
@@ -37,11 +37,11 @@ Pieces that cooperate:
 The event loop itself lives in :class:`ServerSession`, a *re-entrant*
 stepwise core: :meth:`ServerSession.step` executes exactly one pass of the
 loop body and returns, so a driver can interleave many sessions on one
-simulated clock.  :meth:`ContinuousServer.run` drives a session to
-completion for the classic single-server case; the fleet layer
-(:mod:`repro.serving.fleet`) drives one session per replica, feeding them
-through :meth:`ServerSession.submit` and harvesting lifecycle events from
-:attr:`ServerSession.outbox`.
+simulated clock.  Requests enter a session only through
+:meth:`ServerSession.submit`, and lifecycle events leave it through
+:attr:`ServerSession.outbox`.  :meth:`ContinuousServer.run` submits a fixed
+stream and steps one session to completion; the fleet layer
+(:mod:`repro.serving.fleet`) drives one session per replica.
 
 Timing convention: completing the prompt emits the request's first output
 token (the prefill step produces logits for token one), so TTFT is the end
@@ -256,20 +256,14 @@ class ServerSession:
     :meth:`next_action_time` is earliest, which is what keeps N replicas
     consistent on one global clock.
 
-    Two modes:
+    Requests arrive through :meth:`submit` (possibly mid-run, possibly
+    with prior progress from another replica) and lifecycle events are
+    mirrored into :attr:`outbox` for the driver.  An admission deadlock
+    parks the session (:attr:`blocked`) instead of raising — only a new
+    :meth:`submit` or :meth:`cancel` can unblock it.
 
-    * **batch mode** (``external=False``): the request stream is fixed up
-      front and the session is driven to completion.  Behaviour is
-      bit-identical to the historical monolithic loop.
-    * **external mode** (``external=True``): requests arrive through
-      :meth:`submit` (possibly mid-run, possibly with prior progress from
-      another replica), lifecycle events are mirrored into
-      :attr:`outbox` for the driver, and an admission deadlock parks the
-      session (:attr:`blocked`) instead of raising — only an external
-      event can unblock it.
-
-    Outbox entries (external mode only) are tuples whose first element is
-    the kind: ``("admit", rid, t)``, ``("token", rid, t)``,
+    Outbox entries are tuples whose first element is the kind:
+    ``("admit", rid, t)``, ``("token", rid, t)``,
     ``("complete", rid, metrics)``, ``("failed", request, t)``,
     ``("timeout", request, t)``, ``("shed", request, t)``.
     """
@@ -277,15 +271,10 @@ class ServerSession:
     def __init__(
         self,
         server: "ContinuousServer",
-        requests: list[Request] | tuple[Request, ...] = (),
-        external: bool = False,
         record_ledger: bool | None = None,
     ) -> None:
         self.server = server
-        self.external = external
         self.record_ledger = server.validate if record_ledger is None else record_ledger
-        self.pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        self.next_arrival = 0
         self.waiting: deque[Request] = deque()
         self.running: list[RequestState] = []
         self.pool = MemoryPool(name="kv-cache", capacity=server.kv_budget_bytes)
@@ -295,8 +284,8 @@ class ServerSession:
         self.attempts: dict[int, int] = {}
         self.now = 0.0
         self.blocked = False
-        # External submissions: (dispatch time, insertion seq, request,
-        # prefilled, emitted).  The seq keeps equal-time pops FIFO.
+        # Submissions: (dispatch time, insertion seq, request, prefilled,
+        # emitted).  The seq keeps equal-time pops FIFO.
         self.dispatch_heap: list[tuple[float, int, Request, int, int]] = []
         self._dispatch_seq = 0
         self._progress: dict[int, tuple[int, int]] = {}
@@ -326,7 +315,7 @@ class ServerSession:
 
             record_fault_schedule(tracer, server.faults)
 
-    # ---- external-driver API -------------------------------------------------
+    # ---- driver API ----------------------------------------------------------
 
     def submit(
         self,
@@ -348,8 +337,6 @@ class ServerSession:
         onto every lifecycle event the session records for the request
         (pure telemetry — it never affects scheduling).
         """
-        if not self.external:
-            raise RuntimeError("submit() requires an external-mode session")
         if prefilled < 0 or emitted < 0:
             raise ValueError("prefilled and emitted must be non-negative")
         if ctx is not None:
@@ -380,13 +367,10 @@ class ServerSession:
                 return True
         for i, state in enumerate(self.running):
             if state.request.request_id == request_id:
-                self.pool.release(f"req-{request_id}")
-                self._ledger_add(t, "free", f"req-{request_id}", state.kv_bytes)
+                self._release(state, t)
                 if self.tracing:
                     self._trace_batch_phases(state, t)
-                    self.tracer.add_request_event(
-                        request_id, "cancel", t, hop=self._hop_of(request_id)
-                    )
+                    self._event(request_id, "cancel", t)
                 del self.running[i]
                 self.blocked = False
                 return True
@@ -417,13 +401,7 @@ class ServerSession:
             _, _, request, _, _ = heapq.heappop(self.dispatch_heap)
             drained.append(request)
         for state in self.running:
-            self.pool.release(f"req-{state.request.request_id}")
-            self._ledger_add(
-                max(at, self.now),
-                "free",
-                f"req-{state.request.request_id}",
-                state.kv_bytes,
-            )
+            self._release(state, max(at, self.now))
             self.report.n_aborts += 1
             drained.append(state.request)
         self.running.clear()
@@ -434,19 +412,13 @@ class ServerSession:
 
     def has_work(self) -> bool:
         """Whether another :meth:`step` could make progress."""
-        return bool(
-            self.next_arrival < len(self.pending)
-            or self.dispatch_heap
-            or self.waiting
-            or self.running
-            or self.retry_heap
-        )
+        return bool(self.dispatch_heap or self.waiting or self.running or self.retry_heap)
 
     def next_action_time(self) -> Seconds | None:
         """Earliest simulated time the session can act, or None when idle.
 
         A session with admitted or queued work acts *now*; an empty one
-        reports its next arrival/submission/retry instant.  ``None`` means
+        reports its next submission/retry instant.  ``None`` means
         no internal event will ever occur — only :meth:`submit` /
         :meth:`cancel` can wake it (this includes the :attr:`blocked`
         admission-deadlock state).
@@ -455,22 +427,42 @@ class ServerSession:
             return None
         if self.waiting or self.running:
             return self.now
-        horizon = []
-        if self.next_arrival < len(self.pending):
-            horizon.append(self.pending[self.next_arrival].arrival_time)
-        if self.dispatch_heap:
-            horizon.append(self.dispatch_heap[0][0])
-        if self.retry_heap:
-            horizon.append(self.retry_heap[0][0])
-        if not horizon:
-            return None
-        return max(self.now, min(horizon))
+        intake = self._next_intake()
+        return None if intake is None else max(self.now, intake)
 
     # ---- bookkeeping helpers -------------------------------------------------
 
-    def _hop_of(self, rid: int) -> int | None:
-        """The fleet dispatch-attempt counter of ``rid`` (None standalone)."""
-        return self._hops.get(rid)
+    def _next_intake(self) -> Seconds | None:
+        """Earliest queued submission or retry instant (None when neither)."""
+        heads = []
+        if self.dispatch_heap:
+            heads.append(self.dispatch_heap[0][0])
+        if self.retry_heap:
+            heads.append(self.retry_heap[0][0])
+        return min(heads) if heads else None
+
+    def _advance_to(self, target: Seconds) -> bool:
+        """Move the clock to ``target``, clipped at :attr:`time_cap`.
+
+        Returns False, leaving the clock where it is, when the cap has
+        already been reached: the session is parked until its driver acts.
+        """
+        if self.time_cap is not None and self.time_cap < target:
+            if self.time_cap <= self.now:
+                return False
+            target = self.time_cap
+        self.now = target
+        return True
+
+    def _event(self, rid: int, kind: str, time: Seconds) -> None:
+        """Trace a lifecycle event of ``rid``, stamped with its fleet hop."""
+        self.tracer.add_request_event(rid, kind, time, hop=self._hops.get(rid))
+
+    def _release(self, state: RequestState, time: Seconds) -> None:
+        """Free ``state``'s KV reservation, ledgered at ``time``."""
+        name = f"req-{state.request.request_id}"
+        self.pool.release(name)
+        self._ledger_add(time, "free", name, state.kv_bytes)
 
     def _ledger_add(self, time: Seconds, op: str, name: str, nbytes: Bytes) -> None:
         """Record one KV-pool operation for post-run validation.
@@ -507,15 +499,9 @@ class ServerSession:
             and len(self.waiting) >= self.server.max_queue
         ):
             self.report.shed.append(request)
-            if self.external:
-                self.outbox.append(("shed", request, self.now))
+            self.outbox.append(("shed", request, self.now))
             if self.tracing:
-                self.tracer.add_request_event(
-                    request.request_id,
-                    "shed",
-                    self.now,
-                    hop=self._hop_of(request.request_id),
-                )
+                self._event(request.request_id, "shed", self.now)
                 self.tracer.metrics.counter("shed").inc()
         else:
             self.waiting.append(request)
@@ -554,15 +540,12 @@ class ServerSession:
                     emitted=emitted,
                 )
             )
-            if self.external:
-                self.outbox.append(("admit", request.request_id, self.now))
+            self.outbox.append(("admit", request.request_id, self.now))
             if self.tracing:
                 rid = request.request_id
                 queued_from = self.enqueued_at.get(rid, request.arrival_time)
                 self.tracer.add_request_span(rid, "queued", queued_from, self.now)
-                self.tracer.add_request_event(
-                    rid, "admit", self.now, hop=self._hop_of(rid)
-                )
+                self._event(rid, "admit", self.now)
 
     def _abort_running(self, resume_at: Seconds, at: Seconds | None = None) -> None:
         """Abort all in-flight requests (device stall): release KV, retry.
@@ -577,28 +560,20 @@ class ServerSession:
         server = self.server
         abort_time = at if at is not None else resume_at
         for state in self.running:
-            self.pool.release(f"req-{state.request.request_id}")
-            self._ledger_add(
-                abort_time, "free", f"req-{state.request.request_id}", state.kv_bytes
-            )
+            self._release(state, abort_time)
             self.report.n_aborts += 1
             rid = state.request.request_id
             attempt = self.attempts.get(rid, 0) + 1
             self.attempts[rid] = attempt
             if self.tracing:
                 self._trace_batch_phases(state, abort_time)
-                self.tracer.add_request_event(
-                    rid, "abort", abort_time, hop=self._hop_of(rid)
-                )
+                self._event(rid, "abort", abort_time)
                 self.tracer.metrics.counter("aborts").inc()
             if attempt > server.max_retries:
                 self.report.failed.append(state.request)
-                if self.external:
-                    self.outbox.append(("failed", state.request, abort_time))
+                self.outbox.append(("failed", state.request, abort_time))
                 if self.tracing:
-                    self.tracer.add_request_event(
-                        rid, "fail", abort_time, hop=self._hop_of(rid)
-                    )
+                    self._event(rid, "fail", abort_time)
                     self.tracer.metrics.counter("failed").inc()
             else:
                 self.report.n_retries += 1
@@ -624,15 +599,12 @@ class ServerSession:
             if d is not None and now >= request.arrival_time + d:
                 self.report.timed_out.append(request)
                 self._progress.pop(request.request_id, None)
-                if self.external:
-                    self.outbox.append(("timeout", request, now))
+                self.outbox.append(("timeout", request, now))
                 if self.tracing:
                     rid = request.request_id
                     queued_from = self.enqueued_at.get(rid, request.arrival_time)
                     self.tracer.add_request_span(rid, "queued", queued_from, now)
-                    self.tracer.add_request_event(
-                        rid, "timeout", now, hop=self._hop_of(rid)
-                    )
+                    self._event(rid, "timeout", now)
                     self.tracer.metrics.counter("timeouts").inc()
             else:
                 kept.append(request)
@@ -642,21 +614,12 @@ class ServerSession:
         for state in self.running:
             d = self.server._deadline_of(state.request)
             if d is not None and now >= state.request.arrival_time + d:
-                self.pool.release(f"req-{state.request.request_id}")
-                self._ledger_add(
-                    now, "free", f"req-{state.request.request_id}", state.kv_bytes
-                )
+                self._release(state, now)
                 self.report.timed_out.append(state.request)
-                if self.external:
-                    self.outbox.append(("timeout", state.request, now))
+                self.outbox.append(("timeout", state.request, now))
                 if self.tracing:
                     self._trace_batch_phases(state, now)
-                    self.tracer.add_request_event(
-                        state.request.request_id,
-                        "timeout",
-                        now,
-                        hop=self._hop_of(state.request.request_id),
-                    )
+                    self._event(state.request.request_id, "timeout", now)
                     self.tracer.metrics.counter("timeouts").inc()
             else:
                 still.append(state)
@@ -667,77 +630,39 @@ class ServerSession:
     def step(self) -> bool:
         """Execute one pass of the serving loop; returns whether it ran.
 
-        One pass pumps due arrivals/submissions/retries, then either
-        advances the clock to the next event, handles a stall, or books
-        one iteration.  ``False`` means the session is done (or blocked,
-        in external mode) — stepping again without new input is a no-op.
+        One pass pumps due submissions/retries, then either advances the
+        clock to the next event, handles a stall, or books one iteration.
+        ``False`` means the session is done, blocked, or parked at its
+        :attr:`time_cap` — stepping again without new input is a no-op.
         """
         if self.blocked or not self.has_work():
             return False
         server = self.server
         tracer = self.tracer
         tracing = self.tracing
-        pending = self.pending
         report = self.report
         pool = self.pool
 
-        while (
-            self.next_arrival < len(pending)
-            and pending[self.next_arrival].arrival_time <= self.now
-        ):
-            request = pending[self.next_arrival]
-            if tracing:
-                tracer.add_request_event(
-                    request.request_id,
-                    "arrive",
-                    request.arrival_time,
-                    hop=self._hop_of(request.request_id),
-                )
-                self.enqueued_at[request.request_id] = request.arrival_time
-            self._enqueue(request)
-            self.next_arrival += 1
         while self.dispatch_heap and self.dispatch_heap[0][0] <= self.now:
             at, _, request, prefilled, emitted = heapq.heappop(self.dispatch_heap)
             if prefilled or emitted:
                 self._progress[request.request_id] = (prefilled, emitted)
             if tracing:
-                tracer.add_request_event(
-                    request.request_id,
-                    "arrive",
-                    at,
-                    hop=self._hop_of(request.request_id),
-                )
+                self._event(request.request_id, "arrive", at)
                 self.enqueued_at[request.request_id] = at
             self._enqueue(request)
         while self.retry_heap and self.retry_heap[0][0] <= self.now:
             _, _, request = heapq.heappop(self.retry_heap)
             if tracing:
-                tracer.add_request_event(
-                    request.request_id,
-                    "requeue",
-                    self.now,
-                    hop=self._hop_of(request.request_id),
-                )
+                self._event(request.request_id, "requeue", self.now)
                 self.enqueued_at[request.request_id] = self.now
             self._enqueue(request)
 
         if not self.running and not self.waiting:
-            horizon = []
-            if self.next_arrival < len(pending):
-                horizon.append(pending[self.next_arrival].arrival_time)
-            if self.dispatch_heap:
-                horizon.append(self.dispatch_heap[0][0])
-            if self.retry_heap:
-                horizon.append(self.retry_heap[0][0])
-            if not horizon:
+            intake = self._next_intake()
+            if intake is None:
                 return False  # everything remaining was shed or failed
-            target = max(self.now, min(horizon))
-            if self.time_cap is not None and self.time_cap < target:
-                if self.time_cap <= self.now:
-                    return False  # parked: the driver must act first
-                target = self.time_cap
-            self.now = target
-            return True
+            return self._advance_to(max(self.now, intake))
 
         self._cancel_expired()
         if not self.running and not self.waiting:
@@ -782,35 +707,16 @@ class ServerSession:
         if not self.running:
             # Admission blocked (shrunken budget or stalled retries):
             # advance to whatever happens next.
-            horizon = []
-            if self.next_arrival < len(pending):
-                horizon.append(pending[self.next_arrival].arrival_time)
-            if self.dispatch_heap:
-                horizon.append(self.dispatch_heap[0][0])
-            if self.retry_heap:
-                horizon.append(self.retry_heap[0][0])
+            horizon = [self._next_intake()]
             if server.faults is not None:
-                boundary = server.faults.next_boundary_after(self.now)
-                if boundary is not None:
-                    horizon.append(boundary)
-            future = [t for t in horizon if t > self.now]
+                horizon.append(server.faults.next_boundary_after(self.now))
+            future = [t for t in horizon if t is not None and t > self.now]
             if not future:
-                if self.external:
-                    # Only an external submit/cancel can change anything;
-                    # park instead of raising so the driver decides.
-                    self.blocked = True
-                    return False
-                raise OutOfMemoryError(
-                    "admission deadlocked: waiting requests can never "
-                    "fit the remaining KV budget"
-                )
-            target = min(future)
-            if self.time_cap is not None and self.time_cap < target:
-                if self.time_cap <= self.now:
-                    return False  # parked until the driver's next event
-                target = self.time_cap
-            self.now = target
-            return True
+                # Only a new submit/cancel can change anything; park
+                # instead of raising so the driver decides.
+                self.blocked = True
+                return False
+            return self._advance_to(min(future))
 
         plan = server.policy.plan_iteration(self.running)
         if plan.is_empty:
@@ -919,48 +825,29 @@ class ServerSession:
                 # Prompt done: the prefill step yields the first token.
                 state.emitted += 1
                 state.token_times.append(end)
-                if self.external:
-                    self.outbox.append(("token", state.request.request_id, end))
+                self.outbox.append(("token", state.request.request_id, end))
                 if tracing:
-                    tracer.add_request_event(
-                        state.request.request_id,
-                        "first_token",
-                        end,
-                        hop=self._hop_of(state.request.request_id),
-                    )
+                    self._event(state.request.request_id, "first_token", end)
         for state in plan.decode:
             state.emitted += 1
             state.token_times.append(end)
-            if self.external:
-                self.outbox.append(("token", state.request.request_id, end))
+            self.outbox.append(("token", state.request.request_id, end))
 
         still_running: list[RequestState] = []
         for state in self.running:
             if state.done:
-                pool.release(f"req-{state.request.request_id}")
-                self._ledger_add(
-                    state.token_times[-1],
-                    "free",
-                    f"req-{state.request.request_id}",
-                    state.kv_bytes,
-                )
+                self._release(state, state.token_times[-1])
                 metrics = RequestMetrics(
                     request=state.request,
                     admit_time=state.admit_time,
                     token_times=tuple(state.token_times),
                 )
                 report.completed.append(metrics)
-                if self.external:
-                    self.outbox.append(
-                        ("complete", state.request.request_id, metrics)
-                    )
+                self.outbox.append(("complete", state.request.request_id, metrics))
                 if tracing:
                     self._trace_batch_phases(state, state.token_times[-1])
-                    tracer.add_request_event(
-                        state.request.request_id,
-                        "finish",
-                        state.token_times[-1],
-                        hop=self._hop_of(state.request.request_id),
+                    self._event(
+                        state.request.request_id, "finish", state.token_times[-1]
                     )
                     tracer.metrics.counter("completed").inc()
                     tracer.metrics.histogram("ttft_s").record(metrics.ttft)
@@ -1156,22 +1043,31 @@ class ContinuousServer:
 
     # ---- main loop -----------------------------------------------------------
 
-    def session(
-        self,
-        requests: list[Request] | tuple[Request, ...] = (),
-        external: bool = False,
-        record_ledger: bool | None = None,
-    ) -> ServerSession:
+    def session(self, record_ledger: bool | None = None) -> ServerSession:
         """A fresh :class:`ServerSession` over this server's configuration."""
-        return ServerSession(
-            self, requests, external=external, record_ledger=record_ledger
-        )
+        return ServerSession(self, record_ledger=record_ledger)
 
     def run(self, requests: list[Request]) -> ContinuousReport:
-        """Serve ``requests``; returns token-level metrics."""
-        session = self.session(requests)
+        """Serve ``requests``; returns token-level metrics.
+
+        Each request is submitted at its ``arrival_time``, in
+        ``(arrival_time, request_id)`` order.
+
+        Raises:
+            OutOfMemoryError: When admission deadlocks — waiting requests
+                that can never fit the remaining KV budget, with nothing
+                left that could free it.
+        """
+        session = self.session()
+        for request in sorted(requests, key=lambda r: (r.arrival_time, r.request_id)):
+            session.submit(request, request.arrival_time)
         while session.step():
-            pass
+            session.outbox.clear()
+        if session.has_work():
+            raise OutOfMemoryError(
+                "admission deadlocked: waiting requests can never "
+                "fit the remaining KV budget"
+            )
         return session.finish()
 
 

@@ -1,7 +1,7 @@
 """The fleet router: health checks, failover, hedging, brownout, disagg.
 
 :class:`FleetRouter` fronts N :class:`~repro.serving.fleet.replica
-.Replica` instances and drives their external-mode sessions on one
+.Replica` instances and drives their sessions on one
 simulated clock with a conservative discrete-event loop:
 
 * a global event heap holds request arrivals, heartbeat health

@@ -10,7 +10,6 @@ from repro.serving import (
     ContinuousServer,
     Request,
     make_policy,
-    simulate_batched_serving,
     simulate_continuous_serving,
     simulate_serving,
 )
@@ -121,7 +120,7 @@ class TestContinuousServing:
                     output_len=64 if i % 2 else 8)
             for i in range(12)
         ]
-        static = simulate_batched_serving(engine, requests, max_batch=4)
+        static = simulate_serving(engine, requests, max_batch=4)
         cont = simulate_continuous_serving(
             engine, requests, max_batch=4, kv_budget_bytes=BUDGET
         )

@@ -87,6 +87,13 @@ class TestArrivals:
         )
         assert scaled == unit
 
+    # A NaN arrival used to hang ContinuousServer.run and give NaN times in
+    # simulate_serving; a negative one gave a phantom queue delay in both.
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -5.0])
+    def test_request_rejects_bad_arrival_time(self, arrival):
+        with pytest.raises(ValueError, match="arrival_time"):
+            Request(request_id=0, arrival_time=arrival, input_len=16, output_len=8)
+
 
 class TestServing:
     @pytest.fixture(scope="class")

@@ -13,7 +13,7 @@ from repro.engine.baselines import LlamaCppEngine
 from repro.engine.powerinfer import PowerInferEngine
 from repro.engine.speculative import SpeculativeEngine
 from repro.serving.arrival import Request
-from repro.serving.batched import simulate_batched_serving
+from repro.serving.simulator import simulate_serving
 from repro.telemetry.tracer import NullTracer, Tracer
 
 
@@ -63,7 +63,7 @@ class TestBatchedServing:
 
     def test_bit_identity_across_tracers(self, engine):
         reports = [
-            simulate_batched_serving(engine, self._requests(), tracer=tracer)
+            simulate_serving(engine, self._requests(), max_batch=8, tracer=tracer)
             for tracer in (None, NullTracer(), Tracer())
         ]
         finish = [
@@ -74,7 +74,7 @@ class TestBatchedServing:
 
     def test_cache_hit_window_still_traced(self, engine):
         tracer = Tracer()
-        simulate_batched_serving(engine, self._requests(), tracer=tracer)
+        simulate_serving(engine, self._requests(), max_batch=8, tracer=tracer)
         windows = tracer.regions_on("server")
         assert len(windows) == 2
         assert all(w.name == "batch" for w in windows)
@@ -84,7 +84,7 @@ class TestBatchedServing:
 
     def test_null_tracer_records_nothing(self, engine):
         null = NullTracer()
-        simulate_batched_serving(engine, self._requests(), tracer=null)
+        simulate_serving(engine, self._requests(), max_batch=8, tracer=null)
         assert len(null) == 0
 
 
