@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
 from repro.analysis.attribution import critical_path, decompose
 from repro.bench.runner import make_engine
 from repro.hardware.events import EventSimulator
@@ -148,27 +146,18 @@ def run_suite(quick: bool = False) -> dict:
 
     # -- continuous-batching serving percentiles -------------------------------
     from repro.bench.fault_tolerance import (
-        DEADLINE_S,
         DEFAULT_SLO,
         KV_BUDGET_BYTES,
         MACHINE,
         MAX_BATCH,
         MODEL,
-        RATE_RPS,
-        SEED,
+        chaos_requests,
     )
     from repro.bench.fault_tolerance import DTYPE as FT_DTYPE
-    from repro.serving import poisson_arrivals, simulate_continuous_serving
-    from repro.workloads import CHATGPT_PROMPTS
+    from repro.serving import simulate_continuous_serving
 
     engine = make_engine("powerinfer", MODEL, MACHINE, FT_DTYPE)
-    requests = poisson_arrivals(
-        CHATGPT_PROMPTS,
-        rate=RATE_RPS,
-        n_requests=SERVING_N_REQUESTS[suite],
-        rng=np.random.default_rng(SEED),
-        deadline=DEADLINE_S,
-    )
+    requests = chaos_requests(SERVING_N_REQUESTS[suite])
     t0 = time.perf_counter()  # repro-lint: disable=wall-clock -- measures simulator throughput, not model time
     report = simulate_continuous_serving(
         engine,

@@ -29,7 +29,12 @@ from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.serving import SLO, poisson_arrivals, simulate_continuous_serving
 from repro.workloads import CHATGPT_PROMPTS
 
-__all__ = ["default_fault_schedule", "run_fault_tolerance", "DEFAULT_SLO"]
+__all__ = [
+    "chaos_requests",
+    "default_fault_schedule",
+    "run_fault_tolerance",
+    "DEFAULT_SLO",
+]
 
 MODEL = "opt-6.7b"
 # The low-end machine: a large cold-neuron share makes iteration cost
@@ -62,6 +67,17 @@ def default_fault_schedule() -> FaultSchedule:
             FaultEvent(FaultKind.KV_SHRINK, start=26.0, duration=14.0, magnitude=0.08),
             FaultEvent(FaultKind.DEVICE_STALL, start=44.0, duration=1.0),
         ]
+    )
+
+
+def chaos_requests(n_requests: int = N_REQUESTS):
+    """The seeded chaos-serving request stream (deadlines attached)."""
+    return poisson_arrivals(
+        CHATGPT_PROMPTS,
+        rate=RATE_RPS,
+        n_requests=n_requests,
+        rng=np.random.default_rng(SEED),
+        deadline=DEADLINE_S,
     )
 
 
@@ -111,13 +127,7 @@ def run_fault_tolerance(quick: bool = False) -> list[dict]:
     """
     engine = make_engine("powerinfer", MODEL, MACHINE, DTYPE)
     faults = default_fault_schedule()
-    requests = poisson_arrivals(
-        CHATGPT_PROMPTS,
-        rate=RATE_RPS,
-        n_requests=N_REQUESTS,
-        rng=np.random.default_rng(SEED),
-        deadline=DEADLINE_S,
-    )
+    requests = chaos_requests()
 
     rows: list[dict] = []
     if not quick:

@@ -14,16 +14,12 @@ serving runs against the invariants the simulator promises (exclusive
 devices, dependency order, cost-component accounting, KV-memory
 conservation, fault-epoch consistency, trace/report reconciliation);
 :mod:`repro.check.verify` sweeps those checks across the bench suite.
-:mod:`repro.check.report` merges everything into one schema.  CLI:
+:mod:`repro.check.report` is the one report every tool produces.  CLI:
 ``repro lint``, ``repro check-flow``, ``repro verify-schedule``, and the
 ``repro check`` umbrella.
 """
 
-from repro.check.flow import (
-    FlowReport,
-    flow_report_as_dict,
-    run_flow,
-)
+from repro.check.flow import run_flow
 from repro.check.lint import (
     RULES,
     LintViolation,
@@ -49,7 +45,7 @@ from repro.check.schedule import (
     validate_schedule,
     validate_server_run,
 )
-from repro.check.verify import format_verification, run_verification
+from repro.check.verify import run_verification
 
 __all__ = [
     "RULES",
@@ -57,8 +53,6 @@ __all__ = [
     "LintViolation",
     "lint_paths",
     "lint_source",
-    "FlowReport",
-    "flow_report_as_dict",
     "run_flow",
     "CheckReport",
     "CheckViolation",
@@ -74,6 +68,5 @@ __all__ = [
     "validate_kv_ledger",
     "validate_schedule",
     "validate_server_run",
-    "format_verification",
     "run_verification",
 ]

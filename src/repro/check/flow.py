@@ -19,7 +19,6 @@ a typo'd flow suppression is still reported exactly once.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -28,36 +27,9 @@ from repro.check.dimensions import check_dimensions
 from repro.check.lint import LintViolation, _collect_suppressions, iter_python_files
 from repro.check.provenance import check_provenance
 from repro.check.registry import FLOW_RULES
+from repro.check.report import ToolReport, static_tool_report
 
-__all__ = [
-    "FlowReport",
-    "run_flow",
-    "flow_report_as_dict",
-    "format_flow_text",
-    "flow_to_json",
-]
-
-
-class FlowReport:
-    """Violations plus the project stats the passes ran over."""
-
-    def __init__(
-        self,
-        violations: list[LintViolation],
-        n_files: int,
-        n_functions: int,
-        n_call_edges: int,
-        n_task_sites: int,
-    ):
-        self.violations = violations
-        self.n_files = n_files
-        self.n_functions = n_functions
-        self.n_call_edges = n_call_edges
-        self.n_task_sites = n_task_sites
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+__all__ = ["run_flow"]
 
 
 def _task_sites(graph: CallGraph) -> int:
@@ -71,8 +43,12 @@ def _task_sites(graph: CallGraph) -> int:
 
 def run_flow(
     paths: Sequence[Path | str], rules: Iterable[str] | None = None
-) -> FlowReport:
+) -> ToolReport:
     """Run the flow passes over ``paths`` (files and/or directories).
+
+    Returns the ``flow`` tool report; its stats (``n_files``,
+    ``n_functions``, ``n_call_edges``, ``n_task_sites``) record what the
+    passes covered.
 
     ``rules`` selects a subset of :data:`repro.check.registry.FLOW_RULES`
     (default: all; unknown names raise ``ValueError``).  Suppressed
@@ -112,44 +88,11 @@ def run_flow(
         or v.rule not in suppressions_by_path.get(v.path, {}).get(v.line, [])
     ]
     kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return FlowReport(
-        violations=kept,
+    return static_tool_report(
+        "flow",
+        kept,
         n_files=len(files),
         n_functions=len(index.functions),
         n_call_edges=len(graph.edges),
         n_task_sites=_task_sites(graph),
     )
-
-
-def flow_report_as_dict(report: FlowReport) -> dict:
-    """JSON-ready document, shaped like the linter's report."""
-    by_rule: dict[str, int] = {}
-    for v in report.violations:
-        by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
-    return {
-        "ok": report.ok,
-        "n_files": report.n_files,
-        "n_functions": report.n_functions,
-        "n_call_edges": report.n_call_edges,
-        "n_task_sites": report.n_task_sites,
-        "n_violations": len(report.violations),
-        "by_rule": dict(sorted(by_rule.items())),
-        "violations": [v.to_dict() for v in report.violations],
-    }
-
-
-def format_flow_text(report: FlowReport) -> str:
-    """Human-readable report, one violation per line."""
-    lines = [v.format() for v in report.violations]
-    verdict = "OK" if report.ok else "FAIL"
-    lines.append(
-        f"{verdict}: {len(report.violations)} violation(s) in "
-        f"{report.n_files} file(s) "
-        f"({report.n_functions} function(s), {report.n_call_edges} call "
-        f"edge(s), {report.n_task_sites} task site(s))"
-    )
-    return "\n".join(lines)
-
-
-def flow_to_json(report: FlowReport) -> str:
-    return json.dumps(flow_report_as_dict(report), indent=2) + "\n"

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass
@@ -42,8 +41,6 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "iter_python_files",
-    "report_as_dict",
-    "format_text",
 ]
 
 # Rule id -> one-line description.  docs/static_analysis.md carries the
@@ -524,32 +521,3 @@ def lint_paths(
         source = file.read_text(encoding="utf-8")
         violations.extend(lint_source(source, path=str(file), rules=rules))
     return violations, len(files)
-
-
-def report_as_dict(violations: Sequence[LintViolation], n_files: int) -> dict:
-    """Machine-readable lint report (the ``--format json`` payload)."""
-    by_rule: dict[str, int] = {}
-    for v in violations:
-        by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
-    return {
-        "ok": not violations,
-        "n_files": n_files,
-        "n_violations": len(violations),
-        "by_rule": dict(sorted(by_rule.items())),
-        "violations": [v.to_dict() for v in violations],
-    }
-
-
-def format_text(violations: Sequence[LintViolation], n_files: int) -> str:
-    """Human-readable lint report."""
-    lines = [v.format() for v in violations]
-    if violations:
-        lines.append(f"{len(violations)} violation(s) across {n_files} file(s)")
-    else:
-        lines.append(f"OK: {n_files} file(s), no violations")
-    return "\n".join(lines)
-
-
-def to_json(violations: Sequence[LintViolation], n_files: int) -> str:
-    """The JSON report as a string."""
-    return json.dumps(report_as_dict(violations, n_files), indent=2) + "\n"

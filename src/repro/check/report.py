@@ -1,21 +1,20 @@
-"""Unified check report: one schema over lint + flow + verify-schedule.
+"""The one check report: one schema over lint + flow + verify-schedule.
 
-The three check tools grew three ad-hoc report shapes: the linter's
-``{rule, path, line, col}`` records, the flow passes' identical shape,
-and the schedule validator's ``{check, task, time}`` records nested in
-per-case documents.  ``repro check`` runs all three and merges them into
-one document with one violation schema, so CI and humans consume a
-single artifact:
+Every check tool reports through these types, whether it runs alone
+(``repro lint``, ``check-flow``, ``verify-schedule``) or under the
+``repro check`` umbrella, so CI and humans consume a single artifact
+shape:
 
 * :class:`CheckViolation` — the shared violation record.  Static
   findings carry ``path``/``line``/``col``; dynamic findings carry
   ``case``/``task``/``time``.  ``tool`` says which pass emitted it.
-* :class:`ToolReport` — one tool's outcome (ok flag, counts, findings).
-* :class:`CheckReport` — the merged document: per-tool summaries plus
-  the flat ordered violation list.
+* :class:`ToolReport` — one tool's outcome (ok flag, counts, findings,
+  and for verify-schedule the per-case records).
+* :class:`CheckReport` — the document: per-tool summaries plus the flat
+  ordered violation list.
 
-Exit-code contract (shared by ``repro lint`` / ``check-flow`` /
-``check``): 0 clean, 1 violations found, 2 usage error.
+Exit-code contract (shared by all four commands): 0 clean, 1 violations
+found, 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ __all__ = [
     "CheckViolation",
     "ToolReport",
     "CheckReport",
+    "TOOLS",
+    "static_tool_report",
     "run_check",
     "format_check_text",
     "check_to_json",
@@ -71,25 +72,34 @@ class CheckViolation:
 
 @dataclass
 class ToolReport:
-    """One tool's contribution to the merged report."""
+    """One tool's outcome.
+
+    ``stats`` are scalar counters (printed in the text summary);
+    ``cases`` are verify-schedule's per-case records, kept whole in the
+    JSON document.
+    """
 
     tool: str
     ok: bool
     violations: list[CheckViolation] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    cases: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "tool": self.tool,
             "ok": self.ok,
             "n_violations": len(self.violations),
             **self.stats,
         }
+        if self.cases:
+            out["cases"] = self.cases
+        return out
 
 
 @dataclass
 class CheckReport:
-    """Merged outcome of every tool ``repro check`` ran."""
+    """Outcome of every tool one check command ran."""
 
     tools: list[ToolReport]
 
@@ -121,16 +131,18 @@ class CheckReport:
 # -- adapters -----------------------------------------------------------
 
 
-def _lint_tool(paths: Sequence[Path | str], rules: Iterable[str] | None) -> ToolReport:
-    from repro.check.lint import lint_paths
+def static_tool_report(tool: str, violations: Sequence, **stats) -> ToolReport:
+    """The report of a static pass (lint or flow) from its located findings.
 
-    violations, n_files = lint_paths(paths, rules=rules)
+    ``violations`` are :class:`~repro.check.lint.LintViolation` records;
+    ``stats`` are the scalar counters the pass ran over.
+    """
     return ToolReport(
-        tool="lint",
+        tool=tool,
         ok=not violations,
         violations=[
             CheckViolation(
-                tool="lint",
+                tool=tool,
                 rule=v.rule,
                 message=v.message,
                 path=v.path,
@@ -139,35 +151,15 @@ def _lint_tool(paths: Sequence[Path | str], rules: Iterable[str] | None) -> Tool
             )
             for v in violations
         ],
-        stats={"n_files": n_files},
+        stats=stats,
     )
 
 
-def _flow_tool(paths: Sequence[Path | str], rules: Iterable[str] | None) -> ToolReport:
-    from repro.check.flow import run_flow
+def _lint_tool(paths: Sequence[Path | str], rules: Iterable[str] | None) -> ToolReport:
+    from repro.check.lint import lint_paths
 
-    report = run_flow(paths, rules=rules)
-    return ToolReport(
-        tool="flow",
-        ok=report.ok,
-        violations=[
-            CheckViolation(
-                tool="flow",
-                rule=v.rule,
-                message=v.message,
-                path=v.path,
-                line=v.line,
-                col=v.col,
-            )
-            for v in report.violations
-        ],
-        stats={
-            "n_files": report.n_files,
-            "n_functions": report.n_functions,
-            "n_call_edges": report.n_call_edges,
-            "n_task_sites": report.n_task_sites,
-        },
-    )
+    violations, n_files = lint_paths(paths, rules=rules)
+    return static_tool_report("lint", violations, n_files=n_files)
 
 
 def _schedule_tool(quick: bool) -> ToolReport:
@@ -196,37 +188,55 @@ def _schedule_tool(quick: bool) -> ToolReport:
             "n_cases": document["n_cases"],
             "n_skipped": document["n_skipped"],
         },
+        cases=document["cases"],
     )
+
+
+TOOLS = ("lint", "flow", "schedule")
 
 
 def run_check(
     paths: Sequence[Path | str],
     *,
+    tools: Sequence[str] = TOOLS,
     lint_rules: Iterable[str] | None = None,
     flow_rules: Iterable[str] | None = None,
-    with_schedule: bool = True,
     quick: bool = True,
 ) -> CheckReport:
-    """Run lint + check-flow (+ verify-schedule) and merge the reports.
+    """Run the named ``tools`` (a subset of :data:`TOOLS`, in that order).
 
-    ``with_schedule=False`` skips the dynamic sweep (it simulates the
-    whole bench grid, which is seconds of work vs. the static passes'
-    milliseconds); ``quick`` selects the reduced verification grid.
+    ``paths`` feed the static passes; ``quick`` selects the reduced
+    verification grid for the dynamic ``schedule`` sweep (it simulates
+    the whole bench grid, seconds of work vs. the static passes'
+    milliseconds).  Unknown rule names raise ``ValueError`` and missing
+    paths ``FileNotFoundError``.
     """
-    tools = [_lint_tool(paths, lint_rules), _flow_tool(paths, flow_rules)]
-    if with_schedule:
-        tools.append(_schedule_tool(quick))
-    return CheckReport(tools=tools)
+    from repro.check.flow import run_flow
+
+    unknown = set(tools) - set(TOOLS)
+    if unknown:
+        raise ValueError(f"unknown check tools: {sorted(unknown)}")
+    reports = []
+    if "lint" in tools:
+        reports.append(_lint_tool(paths, lint_rules))
+    if "flow" in tools:
+        reports.append(run_flow(paths, rules=flow_rules))
+    if "schedule" in tools:
+        reports.append(_schedule_tool(quick))
+    return CheckReport(tools=reports)
 
 
 def format_check_text(report: CheckReport) -> str:
-    """Human-readable merged report."""
+    """Human-readable report: one summary line per tool, then findings."""
     lines: list[str] = []
     for tool in report.tools:
         stats = ", ".join(f"{k}={v}" for k, v in tool.stats.items())
         verdict = "ok" if tool.ok else "FAIL"
         lines.append(f"[{tool.tool}] {verdict}: {len(tool.violations)} "
                      f"violation(s) ({stats})")
+        for case in tool.cases:
+            if case["status"] == "skipped":
+                lines.append(f"  skipped {case['case']}: {case['reason']}")
     for v in report.violations:
         lines.append(f"  {v.format()}")
     verdict = "OK" if report.ok else "FAIL"

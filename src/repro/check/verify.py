@@ -19,12 +19,11 @@ as skipped, not failed.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator
 
 from repro.check.schedule import ScheduleValidationError, validate_schedule
 
-__all__ = ["run_verification", "format_verification", "verification_to_json"]
+__all__ = ["run_verification"]
 
 # One schedule per phase shape: prompt prefill, single-token decode, and
 # a batched decode (the shapes continuous batching actually issues).
@@ -84,8 +83,6 @@ def _iteration_cases(quick: bool) -> list[dict]:
 
 
 def _serving_cases(quick: bool) -> list[dict]:
-    import numpy as np
-
     from repro.bench.fault_tolerance import (
         DEADLINE_S,
         DTYPE,
@@ -95,25 +92,16 @@ def _serving_cases(quick: bool) -> list[dict]:
         MAX_QUEUE,
         MAX_RETRIES,
         MODEL,
-        RATE_RPS,
-        SEED,
+        chaos_requests,
         default_fault_schedule,
     )
     from repro.bench.runner import make_engine
     from repro.serving.continuous import ContinuousServer
-    from repro.serving.arrival import poisson_arrivals
     from repro.telemetry.tracer import Tracer
-    from repro.workloads import CHATGPT_PROMPTS
 
     suite = "quick" if quick else "full"
     engine = make_engine("powerinfer", MODEL, MACHINE, DTYPE)
-    requests = poisson_arrivals(
-        CHATGPT_PROMPTS,
-        rate=RATE_RPS,
-        n_requests=SERVING_N_REQUESTS[suite],
-        rng=np.random.default_rng(SEED),
-        deadline=DEADLINE_S,
-    )
+    requests = chaos_requests(SERVING_N_REQUESTS[suite])
     scenarios = (
         ("serving/no-fault", None),
         ("serving/chaos", default_fault_schedule()),
@@ -209,8 +197,6 @@ def _energy_cases(quick: bool) -> list[dict]:
     :func:`~repro.check.schedule.validate_fleet_energy` (sum of per-task
     energies == integrated meter to 1e-6, DVFS windows included).
     """
-    import numpy as np
-
     from repro.bench.fault_tolerance import (
         DEADLINE_S,
         DTYPE,
@@ -220,8 +206,7 @@ def _energy_cases(quick: bool) -> list[dict]:
         MAX_QUEUE,
         MAX_RETRIES,
         MODEL,
-        RATE_RPS,
-        SEED,
+        chaos_requests,
         default_fault_schedule,
     )
     from repro.bench.fleet_chaos import (
@@ -232,12 +217,10 @@ def _energy_cases(quick: bool) -> list[dict]:
     )
     from repro.bench.runner import make_engine
     from repro.check.schedule import validate_energy_report, validate_fleet_energy
-    from repro.serving.arrival import poisson_arrivals
     from repro.serving.continuous import ContinuousServer
     from repro.telemetry.fleet import FleetTracer
     from repro.telemetry.power import fleet_energy, tracer_energy
     from repro.telemetry.tracer import Tracer
-    from repro.workloads import CHATGPT_PROMPTS
 
     suite = "quick" if quick else "full"
     cases: list[dict] = []
@@ -256,15 +239,7 @@ def _energy_cases(quick: bool) -> list[dict]:
         max_queue=MAX_QUEUE,
         tracer=tracer,
     )
-    report = server.run(
-        poisson_arrivals(
-            CHATGPT_PROMPTS,
-            rate=RATE_RPS,
-            n_requests=SERVING_N_REQUESTS[suite],
-            rng=np.random.default_rng(SEED),
-            deadline=DEADLINE_S,
-        )
-    )
+    report = server.run(chaos_requests(SERVING_N_REQUESTS[suite]))
     energy = tracer_energy(tracer, engine.machine, faults=faults, horizon=report.makespan)
     violations = validate_energy_report(energy)
     cases.append(
@@ -312,31 +287,3 @@ def run_verification(quick: bool = False) -> dict:
         "n_violations": n_violations,
         "cases": cases,
     }
-
-
-def format_verification(document: dict) -> str:
-    """Human-readable verification report."""
-    lines: list[str] = []
-    for case in document["cases"]:
-        status = case["status"]
-        note = ""
-        if status == "skipped":
-            note = f" ({case['reason']})"
-        elif status == "fail":
-            note = f" ({len(case['violations'])} violation(s))"
-        lines.append(f"{status:>7}  {case['case']}{note}")
-        for v in case["violations"]:
-            where = f" task={v['task']}" if v.get("task") is not None else ""
-            when = f" t={v['time']:.6g}s" if v.get("time") is not None else ""
-            lines.append(f"         - {v['check']}:{where}{when} {v['message']}")
-    verdict = "OK" if document["ok"] else "FAIL"
-    lines.append(
-        f"{verdict}: {document['n_cases']} case(s), "
-        f"{document['n_skipped']} skipped, "
-        f"{document['n_violations']} violation(s) [{document['suite']} suite]"
-    )
-    return "\n".join(lines)
-
-
-def verification_to_json(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"

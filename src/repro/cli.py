@@ -57,6 +57,12 @@ Subcommands::
                                          umbrella: lint + check-flow +
                                          verify-schedule, one merged report
 
+The four check commands build one :class:`~repro.check.report.CheckReport`
+from the tools they name and print it the same way (one JSON schema;
+exit 0 clean, 1 violations, 2 usage error).  Every file a command writes
+goes through one artifact writer, which notes ``wrote <paths>`` on stderr
+so that stdout stays the command's report.
+
 Also runnable as ``python -m repro.cli ...``.
 """
 
@@ -501,6 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of rules to run (default: all)",
     )
+    lint.set_defaults(tools=("lint",), quick=True)
 
     verify = sub.add_parser(
         "verify-schedule",
@@ -511,6 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--format", default="text", choices=("text", "json"))
     verify.add_argument("--out", default=None, help="also write the JSON report here")
+    verify.set_defaults(tools=("schedule",), paths=[], rules=None)
 
     flow = sub.add_parser(
         "check-flow",
@@ -529,6 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of flow rules to run (default: all)",
     )
+    flow.set_defaults(tools=("flow",), quick=True)
 
     check = sub.add_parser(
         "check",
@@ -542,19 +551,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--format", default="text", choices=("text", "json"))
     check.add_argument(
-        "--json-out", default=None, help="write the merged JSON report here"
+        "--json-out",
+        default=None,
+        dest="out",
+        metavar="JSON_OUT",
+        help="write the merged JSON report here",
     )
     check.add_argument(
         "--skip-verify",
-        action="store_true",
+        action="store_const",
+        dest="tools",
+        const=("lint", "flow"),
+        default=("lint", "flow", "schedule"),
         help="static passes only (skip the bench-grid schedule replay)",
     )
     check.add_argument(
         "--full",
-        action="store_true",
+        action="store_false",
+        dest="quick",
         help="full verification grid (default: quick)",
     )
+    check.set_defaults(rules=None)
     return parser
+
+
+def _write_artifacts(*artifacts: tuple[str | None, object]) -> None:
+    """Write every ``(path, payload)`` whose path is set; note them on stderr.
+
+    A payload is either a JSON-ready document, written indented and
+    newline-terminated, or a format exporter ``payload(path)`` (Chrome
+    trace, JSONL, timeline PNG) that writes the file itself and returns
+    ``False`` if it skipped it.  The ``wrote <paths>`` notice goes to
+    stderr so that stdout stays the command's report (``--format json``
+    output remains parseable).
+    """
+    import json
+
+    written = []
+    for path, payload in artifacts:
+        if path is None:
+            continue
+        if callable(payload):
+            if payload(path) is False:
+                continue
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        written.append(path)
+    if written:
+        print("wrote " + ", ".join(written), file=sys.stderr)
 
 
 def _cmd_models() -> int:
@@ -840,8 +886,6 @@ def _run_fleet_scenario(args: argparse.Namespace, tracer=None):  # repro-lint: d
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
     from repro.bench.fleet_chaos import DEFAULT_SLO
     from repro.check.schedule import validate_fleet_run
     from repro.telemetry import Tracer, save_chrome_trace
@@ -920,39 +964,23 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"{fleet_joules.grams_co2():.2f} gCO2"
         )
 
-    outputs = []
-    if args.trace is not None:
-        # In deep mode the router lane is still a plain Tracer.
-        save_chrome_trace(tracer.router if deep else tracer, args.trace)
-        outputs.append(args.trace)
-    if args.deep_trace is not None:
-        save_fleet_chrome_trace(tracer, args.deep_trace)
-        outputs.append(args.deep_trace)
-    if args.alerts is not None:
-        with open(args.alerts, "w", encoding="utf-8") as fh:
-            json.dump(tracer.monitor.to_dicts(), fh, indent=2)
-            fh.write("\n")
-        outputs.append(args.alerts)
-    if args.timeseries is not None:
-        tracer.timeseries.save_jsonl(args.timeseries)
-        outputs.append(args.timeseries)
-    if args.summary is not None:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(slo=DEFAULT_SLO), fh, indent=2)
-            fh.write("\n")
-        outputs.append(args.summary)
-    if args.verify_out is not None:
-        document = {
-            "ok": not violations,
-            "n_violations": len(violations),
-            "violations": [v.to_dict() for v in violations],
-        }
-        with open(args.verify_out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-        outputs.append(args.verify_out)
-    if outputs:
-        print("wrote " + ", ".join(outputs))
+    # In deep mode the router lane is still a plain Tracer.
+    router_tracer = tracer.router if deep else tracer
+    _write_artifacts(
+        (args.trace, lambda path: save_chrome_trace(router_tracer, path)),
+        (args.deep_trace, lambda path: save_fleet_chrome_trace(tracer, path)),
+        (args.alerts, tracer.monitor.to_dicts() if deep else None),
+        (args.timeseries, lambda path: tracer.timeseries.save_jsonl(path)),
+        (args.summary, result.to_dict(slo=DEFAULT_SLO)),
+        (
+            args.verify_out,
+            {
+                "ok": not violations,
+                "n_violations": len(violations),
+                "violations": [v.to_dict() for v in violations],
+            },
+        ),
+    )
     return 0 if not violations else 1
 
 
@@ -978,17 +1006,11 @@ def _cmd_explain_request(args: argparse.Namespace) -> int:
         print(json.dumps(explanation, indent=2))
     else:
         print(format_explanation(explanation))
-    if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(explanation, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_out}")
+    _write_artifacts((args.json_out, explanation))
     return 0
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    import json
-
     from repro.telemetry.power import (
         DEFAULT_CARBON_INTENSITY,
         PowerModel,
@@ -1053,21 +1075,16 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         )
         for v in violations:
             print(f"  - {v.check}: {v.message}")
-        outputs = []
-        if args.timeseries is not None:
-            tracer.timeseries.save_jsonl(args.timeseries)
-            outputs.append(args.timeseries)
-        if args.json_out is not None:
-            document = fenergy.to_dict()
-            document["j_per_token"] = fenergy.j_per_token(tokens)
-            document["generated_tokens"] = tokens
-            document["reconciliation_ok"] = not violations
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(document, fh, indent=2)
-                fh.write("\n")
-            outputs.append(args.json_out)
-        if outputs:
-            print("wrote " + ", ".join(outputs))
+        document = {
+            **fenergy.to_dict(),
+            "j_per_token": fenergy.j_per_token(tokens),
+            "generated_tokens": tokens,
+            "reconciliation_ok": not violations,
+        }
+        _write_artifacts(
+            (args.timeseries, lambda path: tracer.timeseries.save_jsonl(path)),
+            (args.json_out, document),
+        )
         return 0 if not violations else 1
 
     rows = []
@@ -1118,17 +1135,11 @@ def _cmd_energy(args: argparse.Namespace) -> int:
                 f"perf-per-watt what-if (powerinfer decode at ctx={ctx})",
             )
         )
-    if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(reports, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_out}")
+    _write_artifacts((args.json_out, reports))
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
     import numpy as np
 
     from repro.serving import poisson_arrivals, simulate_continuous_serving
@@ -1165,29 +1176,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         tracer=tracer,
     )
 
-    save_chrome_trace(tracer, args.out)
-    outputs = [args.out]
-    if args.jsonl is not None:
-        save_jsonl(tracer, args.jsonl)
-        outputs.append(args.jsonl)
-    if args.summary is not None:
-        summary = tracer.metrics.merge_into(report.to_dict())
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        outputs.append(args.summary)
-    if args.png is not None:
+    def plot(path: str) -> bool:
         from repro.telemetry.timeline import MissingDependencyError, plot_timeline
 
         try:
             plot_timeline(
                 tracer,
-                args.png,
+                path,
                 title=f"{args.engine} / {args.model} / {args.machine} ({args.dtype})",
             )
-            outputs.append(args.png)
         except MissingDependencyError as exc:
-            print(f"warning: skipped {args.png}: {exc}", file=sys.stderr)
+            print(f"warning: skipped {path}: {exc}", file=sys.stderr)
+            return False
+        return True
+
+    _write_artifacts(
+        (args.out, lambda path: save_chrome_trace(tracer, path)),
+        (args.jsonl, lambda path: save_jsonl(tracer, path)),
+        (args.summary, tracer.metrics.merge_into(report.to_dict())),
+        (args.png, plot),
+    )
 
     busy = merge_busy_intervals(report.busy_intervals)
     drift = abs(tracer.busy_union() - busy)
@@ -1199,7 +1207,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"{len(tracer.counters)} counter samples "
         f"(busy-time drift vs report: {drift:.2e} s)"
     )
-    print("wrote " + ", ".join(outputs))
     return 0
 
 
@@ -1284,89 +1291,29 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     current = run_suite(quick=baseline.get("suite") == "quick")
     diff = check_against_baseline(baseline, current, tolerance=args.tolerance)
     print(format_diff(diff))
-    if args.report is not None:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(diff.as_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.report}")
+    _write_artifacts((args.report, diff.as_dict()))
     return 0 if diff.ok else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.check.lint import format_text, lint_paths, report_as_dict
-
-    rules = None
-    if args.rules is not None:
-        rules = [name.strip() for name in args.rules.split(",") if name.strip()]
-    try:
-        violations, n_files = lint_paths(args.paths, rules=rules)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    document = report_as_dict(violations, n_files)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(document, indent=2))
-    else:
-        print(format_text(violations, n_files))
-    if args.out is not None:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-    return 0 if document["ok"] else 1
-
-
-def _cmd_verify_schedule(args: argparse.Namespace) -> int:
-    from repro.check.verify import format_verification, run_verification
-
-    document = run_verification(quick=args.quick)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(document, indent=2))
-    else:
-        print(format_verification(document))
-    if args.out is not None:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-    return 0 if document["ok"] else 1
-
-
-def _cmd_check_flow(args: argparse.Namespace) -> int:
-    from repro.check.flow import flow_to_json, format_flow_text, run_flow
-
-    rules = None
-    if args.rules is not None:
-        rules = [name.strip() for name in args.rules.split(",") if name.strip()]
-    try:
-        report = run_flow(args.paths, rules=rules)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(flow_to_json(report), end="")
-    else:
-        print(format_flow_text(report))
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(flow_to_json(report))
-    return 0 if report.ok else 1
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
+    """``lint``, ``check-flow``, ``verify-schedule`` and ``check``.
+
+    Each command names the tools it runs (``args.tools``, set by its
+    parser); all four build one :class:`~repro.check.report.CheckReport`
+    and print it the same way.
+    """
     from repro.check.report import check_to_json, format_check_text, run_check
 
+    rules = None
+    if args.rules is not None:
+        rules = [name.strip() for name in args.rules.split(",") if name.strip()]
     try:
         report = run_check(
             args.paths,
-            with_schedule=not args.skip_verify,
-            quick=not args.full,
+            tools=args.tools,
+            lint_rules=rules,
+            flow_rules=rules,
+            quick=args.quick,
         )
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1375,10 +1322,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(check_to_json(report), end="")
     else:
         print(format_check_text(report))
-    if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(check_to_json(report))
-        print(f"wrote {args.json_out}")
+    _write_artifacts((args.out, report.to_dict()))
     return 0 if report.ok else 1
 
 
@@ -1418,13 +1362,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_bench_baseline(args)
         if args.command == "bench-check":
             return _cmd_bench_check(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "verify-schedule":
-            return _cmd_verify_schedule(args)
-        if args.command == "check-flow":
-            return _cmd_check_flow(args)
-        if args.command == "check":
+        if args.command in ("lint", "check-flow", "verify-schedule", "check"):
             return _cmd_check(args)
     except OutOfMemoryError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,8 @@ cross-module resolution) and the headline acceptance property: the real
 from pathlib import Path
 
 from repro.check.callgraph import CallGraph, ProjectIndex
-from repro.check.flow import flow_report_as_dict, run_flow
+from repro.check.flow import run_flow
+from repro.check.report import CheckReport
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
@@ -100,22 +101,25 @@ class TestCleanTree:
         assert report.ok
         # The stats prove the passes actually covered the project — a
         # path bug that analyzed nothing would also report 0 violations.
-        assert report.n_files > 100
-        assert report.n_functions > 800
-        assert report.n_call_edges > 1000
-        assert report.n_task_sites > 20
+        assert report.stats["n_files"] > 100
+        assert report.stats["n_functions"] > 800
+        assert report.stats["n_call_edges"] > 1000
+        assert report.stats["n_task_sites"] > 20
 
     def test_report_dict_shape(self, tmp_path):
         (tmp_path / "ok.py").write_text("def f():\n    return 1\n")
-        d = flow_report_as_dict(run_flow([tmp_path]))
+        d = CheckReport([run_flow([tmp_path])]).to_dict()
         assert d["ok"] is True
-        assert d["n_files"] == 1
+        assert d["n_violations"] == 0
+        assert d["by_rule"] == {}
         assert d["violations"] == []
-        assert set(d) >= {
+        assert list(d["tools"]) == ["flow"]
+        flow = d["tools"]["flow"]
+        assert flow["n_files"] == 1
+        assert set(flow) >= {
             "ok",
             "n_files",
             "n_functions",
             "n_call_edges",
             "n_task_sites",
-            "violations",
         }

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.lint import RULES, lint_paths, lint_source, report_as_dict
+from repro.check.lint import RULES, lint_paths, lint_source
+from repro.check.report import CheckReport, static_tool_report
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -209,8 +210,9 @@ class TestViolationMetadata:
 
     def test_report_dict_counts(self):
         violations = lint_source("import random\nimport time\nt = time.time()\n")
-        doc = report_as_dict(violations, n_files=1)
+        doc = CheckReport([static_tool_report("lint", violations, n_files=1)]).to_dict()
         assert doc["ok"] is False
+        assert doc["tools"]["lint"]["n_files"] == 1
         assert doc["n_violations"] == len(violations)
         assert doc["by_rule"]["wall-clock"] == 1
 

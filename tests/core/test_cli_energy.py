@@ -60,9 +60,15 @@ class TestExplainRequestEnergy:
         assert "fleet energy in flight" in text
         assert " J]" in text
 
-    def test_format_json_document(self, capsys):
-        assert main(["explain-request", "1", "--requests", "8", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    def test_format_json_document(self, capsys, tmp_path):
+        out = tmp_path / "explain.json"
+        argv = ["explain-request", "1", "--requests", "8", "--format", "json"]
+        assert main(argv + ["--json", str(out)]) == 0
+        captured = capsys.readouterr()
+        # The `wrote` notice goes to stderr, so stdout stays one document.
+        doc = json.loads(captured.out)
+        assert doc == json.loads(out.read_text())
+        assert "wrote" in captured.err
         assert doc["summary"]["energy"]["fleet_total_joules"] > 0.0
         assert all("fleet_joules" in entry for entry in doc["timeline"])
         joules = [entry["fleet_joules"] for entry in doc["timeline"]]
