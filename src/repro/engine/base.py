@@ -15,6 +15,7 @@ simulating all ``output_len`` DAGs.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
@@ -86,6 +87,19 @@ class PerfEngine(ABC):
         self.machine = plan.machine
         self.model = plan.model
         self.dtype = plan.dtype
+
+    def with_plan(self, plan: DeploymentPlan) -> "PerfEngine":
+        """A shallow copy of this engine running ``plan`` instead.
+
+        Constructor flags (e.g. PowerInfer's ``selective_sync``) carry over;
+        only the plan and the attributes derived from it change.
+        """
+        engine = copy.copy(self)
+        engine.plan = plan
+        engine.machine = plan.machine
+        engine.model = plan.model
+        engine.dtype = plan.dtype
+        return engine
 
     # ---- to implement --------------------------------------------------------
 

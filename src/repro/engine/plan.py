@@ -14,7 +14,7 @@ e.g. llama.cpp ignores masks and predictors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,9 +50,14 @@ def _union_rate(probs: np.ndarray, batch: int) -> np.ndarray:
     return 1.0 - (1.0 - probs) ** batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeploymentPlan:
     """Offline-phase output consumed by the online engines.
+
+    A plan is immutable: its fields cannot be reassigned and its arrays are
+    made read-only on construction (in place, without copying).  Variants
+    come from :func:`dataclasses.replace` or :meth:`with_gpu_bytes_freed`.
+    That is what lets the expected activation splits be memoized per plan.
 
     Attributes:
         model: Architecture being served.
@@ -80,6 +85,10 @@ class DeploymentPlan:
     predictor_bytes: list[float] = field(default_factory=list)
     gpu_memory_reserve: float = 0.08
     expected_context: int = 256
+    # (kind, layer, batch) -> expected (GPU, CPU) split; see _expected_split.
+    _split_memo: dict[tuple[str, int, int], tuple[float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = self.model.n_layers
@@ -101,9 +110,12 @@ class DeploymentPlan:
             if self.attn_gpu_masks[li].shape != (self.model.n_heads,):
                 raise ValueError(f"attn_gpu_masks[{li}] must have shape (n_heads,)")
         if not self.predictor_bytes:
-            self.predictor_bytes = [0.0] * n
+            object.__setattr__(self, "predictor_bytes", [0.0] * n)
         if len(self.predictor_bytes) != n:
             raise ValueError("predictor_bytes must have one entry per layer")
+        for seq in (self.mlp_probs, self.attn_probs, self.mlp_gpu_masks, self.attn_gpu_masks):
+            for arr in seq:
+                arr.flags.writeable = False
 
     # ---- memory accounting -------------------------------------------------
 
@@ -171,51 +183,54 @@ class DeploymentPlan:
         bytes go first, the mirror image of the solver's hot-first
         packing — until at least ``nbytes`` are freed or no GPU-resident
         MLP neurons remain.  Attention heads are kept (their masks also
-        shape the CPU attention path) and deterministic order is guaranteed
-        by a stable sort.  Returns ``self`` when ``nbytes <= 0``.
+        shape the CPU attention path); ties in probability fall back to
+        (layer, neuron) order, so the demoted set is deterministic.
+        Returns ``self`` when ``nbytes <= 0``.
         """
         if nbytes <= 0:
             return self
         neuron_bytes = self.model.mlp_neuron_bytes(self.dtype)
-        candidates: list[tuple[float, int, int]] = []  # (prob, layer, neuron)
-        for li in range(self.model.n_layers):
-            mask = self.mlp_gpu_masks[li]
-            probs = self.mlp_probs[li]
-            for ni in np.flatnonzero(mask):
-                candidates.append((float(probs[ni]), li, int(ni)))
-        candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+        resident = [np.flatnonzero(mask) for mask in self.mlp_gpu_masks]
+        neuron = np.concatenate(resident)
+        layer = np.repeat(np.arange(len(resident)), [idx.size for idx in resident])
+        prob = np.concatenate([p[idx] for p, idx in zip(self.mlp_probs, resident)])
         n_demote = min(
-            len(candidates), int(np.ceil(nbytes / neuron_bytes)) if neuron_bytes else 0
+            neuron.size, int(np.ceil(nbytes / neuron_bytes)) if neuron_bytes else 0
         )
+        # Ascending (prob, layer, neuron): lexsort's last key is the primary.
+        demote = np.zeros(neuron.size, dtype=bool)
+        demote[np.lexsort((neuron, layer, prob))[:n_demote]] = True
         new_masks = [mask.copy() for mask in self.mlp_gpu_masks]
-        for _, li, ni in candidates[:n_demote]:
-            new_masks[li][ni] = False
-        return DeploymentPlan(
-            model=self.model,
-            machine=self.machine,
-            dtype=self.dtype,
-            mlp_probs=self.mlp_probs,
-            attn_probs=self.attn_probs,
-            mlp_gpu_masks=new_masks,
-            attn_gpu_masks=self.attn_gpu_masks,
-            predictor_bytes=list(self.predictor_bytes),
-            gpu_memory_reserve=self.gpu_memory_reserve,
-            expected_context=self.expected_context,
+        lo = 0
+        for mask, idx in zip(new_masks, resident):
+            mask[idx[demote[lo : lo + idx.size]]] = False
+            lo += idx.size
+        return replace(
+            self, mlp_gpu_masks=new_masks, predictor_bytes=list(self.predictor_bytes)
         )
 
     # ---- expected activation splits -----------------------------------------
 
+    def _expected_split(self, kind: str, layer: int, batch: int) -> tuple[float, float]:
+        key = (kind, layer, batch)
+        split = self._split_memo.get(key)
+        if split is None:
+            if kind == "mlp":
+                probs, mask = self.mlp_probs[layer], self.mlp_gpu_masks[layer]
+            else:
+                probs, mask = self.attn_probs[layer], self.attn_gpu_masks[layer]
+            probs = _union_rate(probs, batch)
+            split = (float(probs[mask].sum()), float(probs[~mask].sum()))
+            self._split_memo[key] = split
+        return split
+
     def mlp_active_split(self, layer: int, batch: int = 1) -> tuple[float, float]:
         """Expected (GPU, CPU) counts of active MLP neurons for one token
-        block of ``batch`` independent tokens."""
-        probs = _union_rate(self.mlp_probs[layer], batch)
-        mask = self.mlp_gpu_masks[layer]
-        return float(probs[mask].sum()), float(probs[~mask].sum())
+        block of ``batch`` independent tokens (memoized per plan)."""
+        return self._expected_split("mlp", layer, batch)
 
     def attn_active_split(self, layer: int, batch: int = 1) -> tuple[float, float]:
-        probs = _union_rate(self.attn_probs[layer], batch)
-        mask = self.attn_gpu_masks[layer]
-        return float(probs[mask].sum()), float(probs[~mask].sum())
+        return self._expected_split("attn", layer, batch)
 
     def sampled_mlp_split(
         self, layer: int, rng: np.random.Generator, batch: int = 1

@@ -192,65 +192,63 @@ class EventSimulator:
             ValueError: On duplicate task names, unknown resources, missing
                 dependencies, or dependency cycles.
         """
-        by_name: dict[str, SimTask] = {}
-        for task in tasks:
-            if task.name in by_name:
-                raise ValueError(f"duplicate task name: {task.name!r}")
-            if task.resource not in self._resources:
-                raise ValueError(f"unknown resource: {task.resource!r}")
-            by_name[task.name] = task
-        for task in tasks:
-            for dep in task.deps:
-                if dep not in by_name:
-                    raise ValueError(f"task {task.name!r} depends on unknown task {dep!r}")
-
+        resources = self._resources
+        # Pass 1: names, resources and deduplicated dependency edges.
         # dict.fromkeys (not set) deduplicates while keeping declaration
         # order, so the dependents lists — and with them heap tiebreaks —
         # are stable run to run.
-        unique_deps = {t.name: tuple(dict.fromkeys(t.deps)) for t in tasks}
-        indegree = {name: len(deps) for name, deps in unique_deps.items()}
-        dependents: dict[str, list[str]] = {t.name: [] for t in tasks}
+        by_name: dict[str, SimTask] = {}
+        unique_deps: dict[str, tuple[str, ...]] = {}
+        dependents: dict[str, list[str]] = {}
         for task in tasks:
-            for dep in unique_deps[task.name]:
-                dependents[dep].append(task.name)
+            name = task.name
+            if name in by_name:
+                raise ValueError(f"duplicate task name: {name!r}")
+            if task.resource not in resources:
+                raise ValueError(f"unknown resource: {task.resource!r}")
+            by_name[name] = task
+            unique_deps[name] = tuple(dict.fromkeys(task.deps))
+            dependents[name] = []
 
+        heappush, heappop = heapq.heappush, heapq.heappop
         counter = itertools.count()
         # Ready heap entries: (earliest start, priority, tiebreak, name).
         ready: list[tuple[float, int, int, str]] = []
-        dep_finish: dict[str, float] = {t.name: 0.0 for t in tasks}
+        # Pass 2: dependency check, indegrees, dependents, initial ready set.
+        indegree: dict[str, int] = {}
         for task in tasks:
-            if indegree[task.name] == 0:
-                heapq.heappush(ready, (0.0, task.priority, next(counter), task.name))
+            name = task.name
+            deps = unique_deps[name]
+            for dep in deps:
+                if dep not in by_name:
+                    raise ValueError(f"task {name!r} depends on unknown task {dep!r}")
+                dependents[dep].append(name)
+            indegree[name] = len(deps)
+            if not deps:
+                heappush(ready, (0.0, task.priority, next(counter), name))
 
+        dep_finish: dict[str, float] = {}
         results: dict[str, TaskResult] = {}
         tag_time: dict[str, float] = {}
         completed = 0
         while ready:
-            earliest, _, _, name = heapq.heappop(ready)
+            earliest, _, _, name = heappop(ready)
             task = by_name[name]
-            res = self._resources[task.resource]
-            start, end = res.reserve(earliest, task.duration)
+            start, end = resources[task.resource].reserve(earliest, task.duration)
             results[name] = TaskResult(
-                name=name,
-                resource=task.resource,
-                start=start,
-                end=end,
-                tag=task.tag,
-                cost=task.cost,
-                deps=unique_deps[name],
+                name, task.resource, start, end, task.tag, task.cost, unique_deps[name]
             )
             if task.tag:
                 tag_time[task.tag] = tag_time.get(task.tag, 0.0) + task.duration
             completed += 1
             for child in dependents[name]:
-                dep_finish[child] = max(dep_finish[child], end)
+                finish = dep_finish.get(child, 0.0)
+                if end > finish:
+                    finish = end
+                dep_finish[child] = finish
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    child_task = by_name[child]
-                    heapq.heappush(
-                        ready,
-                        (dep_finish[child], child_task.priority, next(counter), child),
-                    )
+                    heappush(ready, (finish, by_name[child].priority, next(counter), child))
 
         if completed != len(tasks):
             unresolved = sorted(set(by_name) - set(results))

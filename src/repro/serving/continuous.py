@@ -1033,7 +1033,7 @@ class ContinuousServer:
             pristine_plan = self.engine.plan
             plan = pristine_plan.with_gpu_bytes_freed(target)
             freed = pristine_plan.gpu_weight_bytes - plan.gpu_weight_bytes
-            engine = type(self.engine)(plan)
+            engine = self.engine.with_plan(plan)
             cache = IterationCostCache(engine, self.costs.ctx_bucket, faults=self.faults)
             self._degraded = (engine, cache, float(freed))
         return self._degraded

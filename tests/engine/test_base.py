@@ -89,3 +89,18 @@ class TestCostModelTransferParity:
 
     def test_opwork_zero_guard(self, mini_plan_none):
         assert CostModel.op_time(OpWork(), mini_plan_none.machine.gpu) >= 0
+
+
+class TestWithPlan:
+    def test_swaps_the_plan_and_keeps_constructor_state(self, mini_plan_none, mini_plan):
+        engine = StubEngine(mini_plan_none, base=0.5, slope=2e-3)
+        swapped = engine.with_plan(mini_plan)
+        assert type(swapped) is StubEngine
+        assert (swapped.base, swapped.slope) == (0.5, 2e-3)
+        assert swapped.plan is mini_plan
+        assert swapped.machine is mini_plan.machine
+        assert swapped.model is mini_plan.model
+        assert swapped.dtype is mini_plan.dtype
+        # The original engine is untouched.
+        assert engine.plan is mini_plan_none
+        assert engine.machine is mini_plan_none.machine

@@ -10,7 +10,7 @@ import pytest
 from repro.engine.powerinfer import PowerInferEngine
 from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.serving import Request, simulate_continuous_serving
-from repro.serving.continuous import IterationCostCache
+from repro.serving.continuous import ContinuousServer, IterationCostCache
 
 BUDGET = 256 * 2**20
 
@@ -222,6 +222,21 @@ class TestKvShrinkDegradation:
         assert self.run(engine, degradation=True) == self.run(
             engine, degradation=True
         )
+
+    def test_degraded_engine_keeps_constructor_flags(self, mini_plan):
+        engine = PowerInferEngine(mini_plan, selective_sync=False)
+        server = ContinuousServer(
+            engine, kv_budget_bytes=2 * engine.request_kv_bytes(16, 32),
+            faults=self.FAULTS,
+        )
+        degraded, cache, _ = server._degraded_runtime()
+        assert type(degraded) is PowerInferEngine
+        assert degraded.selective_sync is False
+        assert degraded.plan is not mini_plan
+        assert degraded.machine is degraded.plan.machine
+        reference = PowerInferEngine(degraded.plan, selective_sync=False)
+        reference_cache = IterationCostCache(reference, cache.ctx_bucket, faults=self.FAULTS)
+        assert cache.cost(16, 1, 1, now=0.0) == reference_cache.cost(16, 1, 1, now=0.0)
 
     def test_with_gpu_bytes_freed_plan_properties(self, mini_plan):
         nbytes = 10 * 2**20

@@ -1,9 +1,13 @@
 """Tests for deployment plans: accounting and expected activation splits."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.engine.plan import DeploymentPlan
+from repro.bench.runner import cached_plan
+from repro.engine.plan import DeploymentPlan, _union_rate
 from repro.hardware.memory import OutOfMemoryError
 from repro.hardware.spec import PC_HIGH
 from repro.models.config import ModelConfig
@@ -128,6 +132,93 @@ class TestActivationSplits:
         assert g + c == pytest.approx(plan.attn_probs[0].sum())
         sg, sc = plan.sampled_attn_split(0, rng)
         assert 0 <= sg <= model.n_heads and 0 <= sc <= model.n_heads
+
+
+class TestImmutablePlan:
+    def test_fields_cannot_be_reassigned(self, model):
+        plan = make_plan(model)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.mlp_gpu_masks = [np.ones(model.d_ffn, dtype=bool)] * model.n_layers
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.expected_context = 1
+
+    @pytest.mark.parametrize(
+        "field", ["mlp_probs", "attn_probs", "mlp_gpu_masks", "attn_gpu_masks"]
+    )
+    def test_arrays_are_read_only(self, model, field):
+        plan = make_plan(model)
+        arr = getattr(plan, field)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+
+    def test_arrays_are_not_copied(self, model):
+        probs = [np.full(model.d_ffn, 0.1) for _ in range(model.n_layers)]
+        plan = dataclasses.replace(make_plan(model), mlp_probs=probs)
+        assert all(a is b for a, b in zip(plan.mlp_probs, probs))
+
+    def test_replace_sees_fresh_splits(self, model):
+        plan = make_plan(model, gpu_frac=0.5)
+        warm = plan.mlp_active_split(0, batch=7)
+        assert warm[1] > 0.0
+        all_gpu = dataclasses.replace(
+            plan, mlp_gpu_masks=[np.ones(model.d_ffn, dtype=bool)] * model.n_layers
+        )
+        gpu, cpu = all_gpu.mlp_active_split(0, batch=7)
+        assert cpu == 0.0
+        assert gpu == float(_union_rate(plan.mlp_probs[0], 7).sum())
+        assert plan.mlp_active_split(0, batch=7) == warm
+
+
+class TestMemoizedSplits:
+    def test_memo_equals_fresh_union_rate_bit_for_bit(self, mini_plan):
+        plan = dataclasses.replace(mini_plan)  # a cold memo
+        for batch, li, kind in itertools.product(
+            (1, 7, 64), range(plan.model.n_layers), ("mlp", "attn")
+        ):
+            split = getattr(plan, f"{kind}_active_split")
+            probs = _union_rate(getattr(plan, f"{kind}_probs")[li], batch)
+            mask = getattr(plan, f"{kind}_gpu_masks")[li]
+            fresh = (float(probs[mask].sum()), float(probs[~mask].sum()))
+            assert split(li, batch) == fresh  # cold: computed
+            assert split(li, batch) == fresh  # warm: from the memo
+
+
+def list_sort_demotion(plan, nbytes):
+    """The original list-and-sort ``with_gpu_bytes_freed`` mask computation."""
+    neuron_bytes = plan.model.mlp_neuron_bytes(plan.dtype)
+    candidates = []
+    for li in range(plan.model.n_layers):
+        probs = plan.mlp_probs[li]
+        for ni in np.flatnonzero(plan.mlp_gpu_masks[li]):
+            candidates.append((float(probs[ni]), li, int(ni)))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    n_demote = min(len(candidates), int(np.ceil(nbytes / neuron_bytes)))
+    masks = [mask.copy() for mask in plan.mlp_gpu_masks]
+    for _, li, ni in candidates[:n_demote]:
+        masks[li][ni] = False
+    return masks
+
+
+class TestGpuBytesFreed:
+    def assert_matches_list_sort(self, plan, nbytes):
+        freed = plan.with_gpu_bytes_freed(nbytes)
+        expected = list_sort_demotion(plan, nbytes)
+        for got, want in zip(freed.mlp_gpu_masks, expected):
+            np.testing.assert_array_equal(got, want)
+        assert all(a is b for a, b in zip(freed.attn_gpu_masks, plan.attn_gpu_masks))
+
+    @pytest.mark.parametrize("nbytes", [1.0, 10 * 2**20, 1e15])
+    def test_mini_plan_matches_list_sort(self, mini_plan, nbytes):
+        self.assert_matches_list_sort(mini_plan, nbytes)
+
+    def test_tied_probabilities_match_list_sort(self, model):
+        plan = make_plan(model, gpu_frac=0.75)
+        tied = dataclasses.replace(plan, mlp_probs=[np.round(p, 1) for p in plan.mlp_probs])
+        self.assert_matches_list_sort(tied, 300 * model.mlp_neuron_bytes(FP16))
+
+    def test_real_plan_matches_list_sort(self):
+        plan = cached_plan("opt-6.7b", "pc-low", "int4")
+        self.assert_matches_list_sort(plan, 0.4 * plan.gpu_weight_bytes)
 
 
 class TestGpuLoadShare:

@@ -28,11 +28,13 @@ class TestDagStructure:
 
     def test_selective_sync_elides_cpu_path(self, mini_plan):
         # Force all neurons onto the GPU: no mlp_cpu/mlp_xfer tasks.
-        import copy
+        import dataclasses
 
-        plan = copy.copy(mini_plan)
-        plan.mlp_gpu_masks = [np.ones_like(m) for m in mini_plan.mlp_gpu_masks]
-        plan.attn_gpu_masks = [np.ones_like(m) for m in mini_plan.attn_gpu_masks]
+        plan = dataclasses.replace(
+            mini_plan,
+            mlp_gpu_masks=[np.ones_like(m) for m in mini_plan.mlp_gpu_masks],
+            attn_gpu_masks=[np.ones_like(m) for m in mini_plan.attn_gpu_masks],
+        )
         engine = PowerInferEngine(plan)
         names = {t.name for t in engine.iteration_tasks(0, 1, 1)}
         assert not any(".mlp_cpu" in n or ".mlp_xfer" in n for n in names)

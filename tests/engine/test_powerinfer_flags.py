@@ -1,6 +1,6 @@
 """Tests for PowerInferEngine configuration flags."""
 
-import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,10 +11,11 @@ from repro.engine.powerinfer import PowerInferEngine
 class TestSelectiveSyncFlag:
     @pytest.fixture(scope="class")
     def all_gpu_plan(self, mini_plan):
-        plan = copy.copy(mini_plan)
-        plan.mlp_gpu_masks = [np.ones_like(m) for m in mini_plan.mlp_gpu_masks]
-        plan.attn_gpu_masks = [np.ones_like(m) for m in mini_plan.attn_gpu_masks]
-        return plan
+        return dataclasses.replace(
+            mini_plan,
+            mlp_gpu_masks=[np.ones_like(m) for m in mini_plan.mlp_gpu_masks],
+            attn_gpu_masks=[np.ones_like(m) for m in mini_plan.attn_gpu_masks],
+        )
 
     def test_selective_sync_elides_transfers_when_gpu_resident(self, all_gpu_plan):
         on = PowerInferEngine(all_gpu_plan, selective_sync=True)

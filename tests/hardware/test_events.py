@@ -168,3 +168,83 @@ class TestSchedulingProperties:
             )
             for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
                 assert s2 >= e1 - 1e-9
+
+
+def reference_schedule(tasks):
+    """Naive O(n^2) list scheduler: the specification ``EventSimulator`` meets.
+
+    Each step scans the whole ready list for the minimum
+    ``(earliest, priority, insertion)`` entry, then scans every task in
+    declaration order for those whose last dependency just finished.
+    Returns ``[(name, start, end)]`` in scheduling order.
+    """
+    available = {t.resource: 0.0 for t in tasks}
+    end_of: dict[str, float] = {}
+    ready: list[tuple[float, int, int, str]] = []
+    queued: set[str] = set()
+    insertion = 0
+
+    def enqueue(task):
+        nonlocal insertion
+        earliest = max((end_of[d] for d in task.deps), default=0.0)
+        ready.append((earliest, task.priority, insertion, task.name))
+        insertion += 1
+        queued.add(task.name)
+
+    for task in tasks:
+        if not task.deps:
+            enqueue(task)
+    by_name = {t.name: t for t in tasks}
+    order = []
+    while ready:
+        entry = min(ready)
+        ready.remove(entry)
+        earliest, _, _, name = entry
+        task = by_name[name]
+        start = max(earliest, available[task.resource])
+        end = start + task.duration
+        available[task.resource] = end
+        end_of[name] = end
+        order.append((name, start, end))
+        for other in tasks:
+            if (
+                other.name not in queued
+                and name in other.deps
+                and all(d in end_of for d in other.deps)
+            ):
+                enqueue(other)
+    return order
+
+
+class TestAgainstReferenceScheduler:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_list_scheduler_exactly(self, data):
+        n = data.draw(st.integers(1, 14), label="n")
+        # Edges only point to lower topological indices (acyclic); the
+        # declaration order is a separate permutation, so a task may name
+        # a dependency declared after it.  Repeated deps exercise dedup.
+        tasks_topo = []
+        for i in range(n):
+            deps = data.draw(
+                st.lists(st.integers(0, i - 1), max_size=4) if i else st.just([]),
+                label=f"deps{i}",
+            )
+            tasks_topo.append(
+                SimTask(
+                    f"t{i}",
+                    data.draw(st.sampled_from(["gpu", "cpu", "pcie"]), label=f"res{i}"),
+                    data.draw(
+                        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 5.0)),
+                        label=f"dur{i}",
+                    ),
+                    deps=tuple(f"t{j}" for j in deps),
+                    priority=data.draw(st.integers(0, 2), label=f"prio{i}"),
+                )
+            )
+        tasks = data.draw(st.permutations(tasks_topo), label="order")
+        result = EventSimulator(["gpu", "cpu", "pcie"]).run(tasks)
+        got = [(r.name, r.start, r.end) for r in result.tasks.values()]
+        assert got == reference_schedule(tasks)
+        for task in tasks:
+            assert result.tasks[task.name].deps == tuple(dict.fromkeys(task.deps))
